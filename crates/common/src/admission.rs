@@ -122,8 +122,9 @@ pub struct AdmissionController {
 }
 
 /// Memory headroom can change without a permit release (spills run
-/// inside queries), so blocked waiters re-poll at this cadence instead
-/// of trusting the condvar alone.
+/// inside queries). The spill accountant wakes waiters when it frees
+/// memory (see [`AdmissionController::memory_relieved`]); blocked waiters
+/// still re-poll at this cadence as a backstop for any other change.
 const MEMORY_POLL: Duration = Duration::from_millis(10);
 
 impl AdmissionController {
@@ -263,6 +264,15 @@ impl AdmissionController {
     fn release(&self) {
         let mut st = self.lock();
         st.active = st.active.saturating_sub(1);
+        self.changed.notify_all();
+    }
+
+    /// Memory headroom returned (the accountant's resident bytes fell back
+    /// under its threshold): wake memory-blocked waiters now rather than
+    /// at their next poll. Notifying under the state lock means a waiter
+    /// between its gate check and its wait cannot miss the wake-up.
+    pub fn memory_relieved(&self) {
+        let _st = self.lock();
         self.changed.notify_all();
     }
 

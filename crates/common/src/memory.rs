@@ -18,8 +18,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
+use crate::admission::AdmissionController;
 use crate::config::FaultSite;
 use crate::error::Result;
 
@@ -233,6 +234,10 @@ pub struct MemoryAccountant {
     clock: AtomicU64,
     resident: AtomicU64,
     metrics: Arc<MemoryMetrics>,
+    /// Admission controller whose memory-blocked waiters are woken when
+    /// resident bytes fall back under the threshold. Weak: the controller
+    /// reaches this accountant through its memory gate.
+    relief: Mutex<Weak<AdmissionController>>,
 }
 
 impl MemoryAccountant {
@@ -245,6 +250,30 @@ impl MemoryAccountant {
             clock: AtomicU64::new(0),
             resident: AtomicU64::new(0),
             metrics,
+            relief: Mutex::new(Weak::new()),
+        }
+    }
+
+    /// Wake `admission`'s waiters whenever resident bytes drop from over
+    /// the threshold to at or under it — a release or a spill — so a query
+    /// held back by the memory gate starts as soon as memory is free
+    /// instead of at its next poll. Replaces any earlier controller.
+    pub fn wake_on_relief(&self, admission: &Arc<AdmissionController>) {
+        *self.relief.lock().expect("relief lock") = Arc::downgrade(admission);
+    }
+
+    /// Subtract `bytes` from the resident total; returns whether that
+    /// brought it from over the threshold to at or under it.
+    fn unresident(&self, bytes: u64) -> bool {
+        let before = self.resident.fetch_sub(bytes, Ordering::Relaxed);
+        before > self.threshold && before.saturating_sub(bytes) <= self.threshold
+    }
+
+    /// Tell the admission controller (if any) that memory was relieved.
+    fn notify_relief(&self) {
+        let admission = self.relief.lock().expect("relief lock").upgrade();
+        if let Some(admission) = admission {
+            admission.memory_relieved();
         }
     }
 
@@ -299,11 +328,16 @@ impl MemoryAccountant {
     /// The region moved to disk: its bytes no longer count as resident.
     pub fn note_spilled(&self, id: RegionId) {
         let mut regions = self.regions.lock().expect("accountant lock");
+        let mut relieved = false;
         if let Some(r) = regions.get_mut(&id) {
             if r.resident {
                 r.resident = false;
-                self.resident.fetch_sub(r.bytes, Ordering::Relaxed);
+                relieved = self.unresident(r.bytes);
             }
+        }
+        drop(regions);
+        if relieved {
+            self.notify_relief();
         }
     }
 
@@ -323,10 +357,10 @@ impl MemoryAccountant {
 
     /// The region's owner dropped it; stop tracking it entirely.
     pub fn release(&self, id: RegionId) {
-        let mut regions = self.regions.lock().expect("accountant lock");
-        if let Some(r) = regions.remove(&id) {
-            if r.resident {
-                self.resident.fetch_sub(r.bytes, Ordering::Relaxed);
+        let removed = self.regions.lock().expect("accountant lock").remove(&id);
+        if let Some(r) = removed {
+            if r.resident && self.unresident(r.bytes) {
+                self.notify_relief();
             }
         }
     }
@@ -516,6 +550,60 @@ mod tests {
         assert_eq!(
             RegionKind::of_temp_name("__cte_pr_1"),
             RegionKind::TempResult
+        );
+    }
+
+    #[derive(Debug)]
+    struct AccountantGate(Arc<MemoryAccountant>);
+
+    impl crate::admission::MemoryGate for AccountantGate {
+        fn over_threshold(&self) -> bool {
+            self.0.over_threshold()
+        }
+    }
+
+    #[test]
+    fn freeing_memory_wakes_memory_blocked_admission() {
+        use crate::admission::QueryClass;
+        use std::time::{Duration, Instant};
+        // The waiter holds the admission lock from enqueueing until its
+        // condvar wait releases it, so once `queued` reads 1 it is waiting.
+        // Polling alone would then admit it ≈10 ms (one poll interval)
+        // after the release; the wake-up takes microseconds.
+        let mut latencies: Vec<Duration> = (0..11)
+            .map(|trial| {
+                let a = Arc::new(accountant(100));
+                let region = a.register("hot", RegionKind::WorkingTable, 200);
+                let gate = Arc::new(AccountantGate(Arc::clone(&a)));
+                let admission = Arc::new(AdmissionController::new(2, 4, None, None, Some(gate)));
+                a.wake_on_relief(&admission);
+                let running = admission.admit(QueryClass::Batch).unwrap();
+                let waiter = {
+                    let admission = Arc::clone(&admission);
+                    std::thread::spawn(move || {
+                        let permit = admission.admit(QueryClass::Batch).unwrap();
+                        (Instant::now(), permit)
+                    })
+                };
+                while admission.snapshot().queued == 0 {
+                    std::thread::yield_now();
+                }
+                let freed_at = Instant::now();
+                if trial % 2 == 0 {
+                    a.release(region);
+                } else {
+                    a.note_spilled(region);
+                }
+                let (admitted_at, permit) = waiter.join().unwrap();
+                drop((permit, running));
+                admitted_at.saturating_duration_since(freed_at)
+            })
+            .collect();
+        latencies.sort();
+        assert!(
+            latencies[5] < Duration::from_micros(2_500),
+            "median wake-up {:?} (all: {latencies:?})",
+            latencies[5]
         );
     }
 

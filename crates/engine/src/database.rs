@@ -250,13 +250,17 @@ impl Database {
                 .spill
                 .as_ref()
                 .map(|env| Arc::new(SpillMemoryGate(Arc::clone(env))) as Arc<dyn MemoryGate>);
-            Arc::new(AdmissionController::new(
+            let admission = Arc::new(AdmissionController::new(
                 max,
                 config.admission_queue_limit,
                 config.admission_timeout_ms,
                 config.admission_batch_timeout_ms,
                 gate,
-            ))
+            ));
+            if let Some(env) = &self.spill {
+                env.accountant.wake_on_relief(&admission);
+            }
+            admission
         });
         self.config = config;
     }

@@ -36,9 +36,14 @@ use spinner_common::memory::{RegionId, RegionKind};
 use spinner_common::Value;
 use spinner_storage::{Partitioned, SpillEnv, TempRegistry};
 
+use crate::hash::KeyMap;
+
 /// Per-partition build-side hash table: join key → row indices into the
-/// co-indexed partition of [`CachedBuild::build`].
-pub type JoinTable = HashMap<Vec<Value>, Vec<usize>>;
+/// co-indexed partition of [`CachedBuild::build`]. Hashed with
+/// [`KeyHasher`](crate::hash::KeyHasher); probes look a reused key buffer
+/// up as `&[Value]`, so only inserting a new key copies it. Build with
+/// `JoinTable::default()` (`new` exists only for `RandomState` maps).
+pub type JoinTable = KeyMap<Vec<Value>, Vec<usize>>;
 
 /// One cached loop-invariant build: the post-exchange partitioned rows
 /// and the hash tables over them, plus the identity of the source temp
@@ -235,7 +240,7 @@ mod tests {
         cache.insert(
             "__common_1",
             toy(vec![vec![1], vec![2]]),
-            vec![JoinTable::new(), JoinTable::new()],
+            vec![JoinTable::default(), JoinTable::default()],
             &registry,
         );
         assert!(cache.lookup("__common_1", &registry).is_some());
@@ -253,7 +258,7 @@ mod tests {
         cache.insert(
             "__common_1",
             toy(vec![vec![1]]),
-            vec![JoinTable::new()],
+            vec![JoinTable::default()],
             &registry,
         );
         registry.put("__common_1", toy(vec![vec![9]]));
@@ -272,7 +277,7 @@ mod tests {
         cache.insert(
             "__common_1",
             toy(vec![vec![1]]),
-            vec![JoinTable::new()],
+            vec![JoinTable::default()],
             &registry,
         );
         // Poison the entries mutex from a thread that panics holding it.
@@ -293,7 +298,7 @@ mod tests {
         cache.insert(
             "__common_2",
             toy(vec![vec![2]]),
-            vec![JoinTable::new()],
+            vec![JoinTable::default()],
             &registry,
         );
         assert!(cache.evict("__common_2"));
@@ -309,7 +314,7 @@ mod tests {
         cache.insert(
             "__common_2",
             toy(vec![vec![1]]),
-            vec![JoinTable::new()],
+            vec![JoinTable::default()],
             &registry,
         );
         assert!(cache.evict("join_build:__common_2"));

@@ -23,6 +23,7 @@ use spinner_storage::{Catalog, CheckpointStore, LoopCheckpoint, Partitioned, Tem
 
 use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
+use crate::hash::KeyMap;
 use crate::operators::{self, OpContext};
 use crate::physical::{create_physical_plan, ExchangeMode};
 use crate::pool::WorkerPool;
@@ -297,7 +298,8 @@ impl Executor<'_> {
         let mut updated = 0u64;
         let mut examined = 0u64;
         for (cte_part, work_part) in cte_data.parts.iter().zip(&work_data.parts) {
-            let mut index: HashMap<&Value, &Row> = HashMap::with_capacity(work_part.len());
+            let mut index: KeyMap<&Value, &Row> =
+                KeyMap::with_capacity_and_hasher(work_part.len(), Default::default());
             for row in work_part.iter() {
                 let k = &row[key];
                 if k.is_null() {

@@ -23,6 +23,7 @@ pub mod aggregate;
 pub mod cache;
 pub mod executor;
 pub mod fault;
+pub mod hash;
 pub mod operators;
 pub mod physical;
 pub mod pool;

@@ -3,9 +3,18 @@
 //! The lowering mirrors an MPP planner's shuffle decisions: hash joins and
 //! grouped aggregations get hash exchanges on their keys, unkeyed joins
 //! and global operations (sort, limit, global aggregate, set ops) gather
-//! to one partition. Exchanges only *count* rows that actually change
-//! partition, so a table already distributed on the join key moves nothing
-//! — the same locality a real shared-nothing engine exploits.
+//! to one partition. The planner places an exchange wherever the keys
+//! require one and never asks where the rows already are; the exchange
+//! operator decides that at run time. It routes every row through
+//! [`partition_for_key`], and when no row changes partition it hands its
+//! input partitions on as they are — the same buffers, no row copied. So
+//! an input already distributed on the key (a base table stored by that
+//! column, a temp materialized with `distribute_by`, the output of an
+//! earlier exchange on the same key) costs one hash per row and moves
+//! nothing — the locality a real shared-nothing engine exploits. Only
+//! rows that change partition are counted as moved. A run-time check is
+//! exact where a plan-time distribution property would have to be kept
+//! right by every operator in between.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -532,31 +541,42 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
     })
 }
 
-/// Partition index for a composed key. Single NULLs and all-NULL keys land
-/// in partition 0. Must agree with
-/// [`spinner_storage::partition_of`] for one-column keys so tables already
-/// distributed on a join key move no rows.
-pub fn partition_for_key(values: &[Value], parts: usize) -> Result<usize> {
+/// Partition index for a composed key — the one routing function of the
+/// engine. Every hash exchange routes each row through it, feeding the key
+/// values by reference (`&row[i]` for column keys), so routing copies
+/// nothing.
+///
+/// An empty key and a one-column NULL key land in partition 0. A
+/// one-column non-NULL key goes to [`spinner_storage::partition_of`], so a
+/// table stored distributed on that column is already where an exchange
+/// on it would put it. A key of two or more columns is hashed as a whole
+/// with the same SipHash, NULL columns included, so an all-NULL
+/// multi-column key gets a fixed partition like any other value.
+pub fn partition_for_key<'a>(
+    values: impl IntoIterator<Item = &'a Value>,
+    parts: usize,
+) -> Result<usize> {
     if parts == 0 {
         return Err(Error::execution("partition count must be positive"));
     }
-    match values {
-        [] => Ok(0),
-        [v] => {
-            if v.is_null() {
-                Ok(0)
-            } else {
-                Ok(spinner_storage::partition_of(v, parts))
-            }
-        }
-        many => {
-            let mut h = DefaultHasher::new();
-            for v in many {
-                v.hash(&mut h);
-            }
-            Ok((h.finish() % parts as u64) as usize)
-        }
+    let mut values = values.into_iter();
+    let Some(first) = values.next() else {
+        return Ok(0);
+    };
+    let Some(second) = values.next() else {
+        return Ok(if first.is_null() {
+            0
+        } else {
+            spinner_storage::partition_of(first, parts)
+        });
+    };
+    let mut h = DefaultHasher::new();
+    first.hash(&mut h);
+    second.hash(&mut h);
+    for v in values {
+        v.hash(&mut h);
     }
+    Ok((h.finish() % parts as u64) as usize)
 }
 
 #[cfg(test)]
@@ -703,7 +723,7 @@ mod tests {
     fn single_key_partitioning_matches_storage() {
         let v = Value::Int(42);
         assert_eq!(
-            partition_for_key(std::slice::from_ref(&v), 8).unwrap(),
+            partition_for_key([&v], 8).unwrap(),
             spinner_storage::partition_of(&v, 8)
         );
         assert_eq!(partition_for_key(&[Value::Null], 8).unwrap(), 0);

@@ -304,7 +304,9 @@ fn handle_connection(mut stream: TcpStream, db: Arc<Database>, shared: Arc<Share
                                         write_frame(&mut side, TAG_HANDLE, &handle.to_be_bytes());
                                     return;
                                 }
-                                std::thread::sleep(Duration::from_millis(2));
+                                // Woken early by the executing thread
+                                // when the statement finishes.
+                                std::thread::park_timeout(Duration::from_millis(2));
                             }
                             // Statement finished before a handle showed
                             // up; a last look closes the race where it
@@ -318,6 +320,7 @@ fn handle_connection(mut stream: TcpStream, db: Arc<Database>, shared: Arc<Share
                 let outcome = session.execute(&sql);
                 handle_done.store(true, Ordering::SeqCst);
                 if let Some(poller) = handle_poller {
+                    poller.thread().unpark();
                     let _ = poller.join();
                 } else {
                     // No poller thread: publish the handle late, before
